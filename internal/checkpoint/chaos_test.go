@@ -9,6 +9,7 @@ import (
 	"astream/internal/core"
 	"astream/internal/event"
 	"astream/internal/fault"
+	"astream/internal/window"
 )
 
 // The chaos harness drives a fixed, deterministic workload twice: once clean
@@ -171,9 +172,6 @@ func assertSameOutput(t *testing.T, got, want []string) {
 // TestChaosSeededSchedules runs randomized seeded fault schedules and
 // asserts exactly-once committed output under every one of them.
 func TestChaosSeededSchedules(t *testing.T) {
-	steps := chaosSteps()
-	want := runChaosClean(t, steps)
-
 	// Ordered so the short-mode prefix covers schedules that actually fire:
 	// 23 drops two source batches, 42 kills a join instance mid-stream, 58
 	// kills an aggregate instance at barrier alignment. 11 and 77 draw
@@ -183,6 +181,27 @@ func TestChaosSeededSchedules(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
+	runSeededSchedules(t, chaosSteps(), seeds)
+}
+
+// sharedFireSteps is chaosSteps plus a sliding aggregation whose windows
+// span 20 slices: enough for the aggregation to fire them through the
+// shared fire engine (the merge tree) instead of the per-slice scan.
+func sharedFireSteps() []chaosStep {
+	steps := chaosSteps()
+	q := testQuery(core.KindAggregation)
+	q.Window = window.SlidingSpec(40, 2)
+	return append(append(steps[:2:2], chaosStep{kind: stepSubmit, query: q}), steps[2:]...)
+}
+
+// TestChaosSharedFire runs the firing seeds over sharedFireSteps, so
+// recovery is also checked through the aggregation's shared window fire.
+func TestChaosSharedFire(t *testing.T) {
+	runSeededSchedules(t, sharedFireSteps(), []int64{23, 42, 58})
+}
+
+func runSeededSchedules(t *testing.T, steps []chaosStep, seeds []int64) {
+	want := runChaosClean(t, steps)
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

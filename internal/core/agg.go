@@ -355,9 +355,9 @@ func (a *SharedAggregation) rebuildMergeTree() {
 	a.tree = &mergeTree{owner: a}
 }
 
-// disableMergeTree forces the per-slice re-merge fire path, mirroring how
-// fault hooks disable the selection's predicate index: injected faults (and
-// the ablation baseline) demand the plain per-slice evaluation order.
+// disableMergeTree forces the per-slice re-merge fire path: the ablation
+// baseline and the merge-tree agreement tests compare the shared fire
+// engine against it.
 func (a *SharedAggregation) disableMergeTree() {
 	a.treeOff = true
 	a.tree = nil
@@ -765,8 +765,8 @@ func (a *SharedAggregation) OnWatermark(wm event.Time, _ *spe.Emitter) {
 // fireWindow combines slice partials for one window extent and emits one row
 // per (query, key). Triggers with enough queries to dedup or a slice run
 // long enough for the tree cover to pay fire through the shared engine;
-// small lone triggers (and fault-injected instances, which carry no tree)
-// take the direct per-slice scan. Both arms emit byte-identical streams
+// small lone triggers (and instances built with disableMergeTree, which
+// carry no tree) take the direct per-slice scan. Both arms emit byte-identical streams
 // (TestMergeTreeFireAgreesWithScan), so the dispatch is a pure cost choice.
 func (a *SharedAggregation) fireWindow(ext window.Extent, queries []*aggQuery, curEpoch uint64) {
 	lo, hi := a.sl.overlappingRange(ext)

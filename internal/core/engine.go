@@ -272,11 +272,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	eng.aggLogics = make([]*SharedAggregation, P)
 	agg := topo.AddOperator("aggregate", P, func(inst int) spe.Logic {
 		l := NewSharedAggregation(len(aggInputs), cfg.Lateness, eng.router, eng.metrics)
-		if cfg.FaultHook != nil {
-			// Fault injection wants the plain per-slice fire path,
-			// mirroring how it disables the selection's predicate index.
-			l.disableMergeTree()
-		}
 		eng.aggLogics[inst] = l
 		return l
 	}, aggInputs...)

@@ -88,8 +88,6 @@ type Driver struct {
 	EventTimeLat *metrics.Histogram // tuple event-time -> sink delivery
 	QueueLat     *metrics.Histogram // tuple enqueue -> ingestion
 
-	sustain metrics.Sustainability
-
 	queryOrdinals []int // created query IDs in submission order
 	resultCounts  map[int]*uint64
 	cntMu         sync.Mutex
@@ -290,13 +288,6 @@ func (d *Driver) Finish() {
 	d.WaitPumps()
 	d.sut.Drain()
 }
-
-// ObserveSustainability feeds the sustainability detector with a latency
-// signal (call periodically with e.g. mean event-time latency).
-func (d *Driver) ObserveSustainability(v float64) { d.sustain.Observe(v) }
-
-// Sustainable reports the detector's verdict.
-func (d *Driver) Sustainable() bool { return d.sustain.Sustainable() }
 
 // GenerateAndOffer runs a data generator for n tuples per stream with the
 // given event-time step, stamping IngestNanos at enqueue (the tuple's birth,

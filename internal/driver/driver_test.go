@@ -151,14 +151,3 @@ func TestTryOfferTupleBackpressure(t *testing.T) {
 	d.StartPumps()
 	d.Finish()
 }
-
-func TestSustainabilitySignal(t *testing.T) {
-	d := New(Config{Streams: 1}, newSharedSUT(t, 1))
-	for i := 0; i < 10; i++ {
-		d.ObserveSustainability(100)
-	}
-	if !d.Sustainable() {
-		t.Fatal("flat signal should be sustainable")
-	}
-	d.Finish()
-}

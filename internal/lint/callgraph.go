@@ -100,6 +100,14 @@ func (n *CGNode) DisplayName() string {
 	return n.Name
 }
 
+// nodeSig returns the signature of a node's function or literal.
+func nodeSig(n *CGNode) *types.Signature {
+	if n.Fn != nil {
+		return n.Fn.Type().(*types.Signature)
+	}
+	return n.Pkg.Info.TypeOf(n.Lit).(*types.Signature)
+}
+
 // CallGraph is the static call graph of one module load.
 type CallGraph struct {
 	// Nodes holds every function body in deterministic order: package

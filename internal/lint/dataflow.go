@@ -8,14 +8,15 @@ import (
 )
 
 // This file is the flow-sensitive dataflow IR under the lifetime analyzers
-// (DESIGN.md §16). Each function body is walked statement by statement over
-// an abstract state mapping local variables to sets of *cells* — one cell
-// per syntactic allocation/acquisition/load site — with per-path released,
-// escaped, and parked facts. Branches fork the state and join afterwards
-// (may-analysis: a fact on either arm survives the join), loops iterate the
-// body to a joined fixpoint (cells are per-site, so the universe is
-// finite), returns terminate their path, and deferred calls apply at every
-// exit in LIFO order.
+// (DESIGN.md §16). Each function body is walked by the flow walker
+// (flow.go) over an abstract state mapping local variables to sets of
+// *cells* — one cell per syntactic allocation/acquisition/load site — with
+// per-path released, escaped, and parked facts. The walker forks and joins
+// the state at branches (may-analysis: a fact on either arm survives the
+// join), iterates loops to a fixpoint (cells are per-site, so the universe
+// is finite), and routes break and continue to the loop's exit and head;
+// the IR supplies the transfer functions, and deferred calls apply at
+// every exit in LIFO order.
 //
 // The analysis is deliberately bounded, exactly like the call graph it sits
 // on: loads from the heap produce fresh cells (no strong updates through
@@ -180,10 +181,10 @@ func (s *dfState) settleReleases() {
 
 // join unions another path's state into s. Dead paths contribute nothing.
 func (s *dfState) join(o *dfState) *dfState {
-	if o == nil || o.dead {
+	if o.isDead() {
 		return s
 	}
-	if s.dead {
+	if s.isDead() {
 		o = o.clone()
 		o.settleReleases()
 		return o
@@ -222,6 +223,9 @@ func (s *dfState) join(o *dfState) *dfState {
 	}
 	return s
 }
+
+func (s *dfState) isDead() bool { return s == nil || s.dead }
+func (s *dfState) kill()        { s.dead = true }
 
 // size is the monotone measure for loop-fixpoint convergence: join only
 // grows it, and since join(a, b) ⊇ a, equal size after a join means equal
@@ -290,29 +294,14 @@ func newWalker(eng *lifetimeEngine, n *CGNode, sum *PoolSummary, emit bool) *dfW
 
 func (w *dfWalker) analyze() {
 	s := newDFState()
-	if w.node.Fn != nil {
-		sig := w.node.Fn.Type().(*types.Signature)
-		if r := sig.Recv(); r != nil {
-			w.bindParam(s, r, -1)
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			w.bindParam(s, sig.Params().At(i), i)
-		}
-	} else if w.node.Lit != nil {
-		i := 0
-		for _, f := range w.node.Lit.Type.Params.List {
-			for _, name := range f.Names {
-				if obj, ok := w.p.Info.Defs[name].(*types.Var); ok && obj != nil {
-					w.bindParam(s, obj, i)
-				}
-				i++
-			}
-		}
+	sig := nodeSig(w.node)
+	if r := sig.Recv(); r != nil {
+		w.bindParam(s, r, -1)
 	}
-	out := w.walkBody(w.node.Body, s)
-	if !out.dead {
-		w.exitPath(out, w.node.Body.Rbrace)
+	for i := 0; i < sig.Params().Len(); i++ {
+		w.bindParam(s, sig.Params().At(i), i)
 	}
+	walkFlow[*dfState](w.p, w, w.node.Body, s)
 	if w.sum != nil && w.retPool {
 		w.sum.Acquires = true
 	}
@@ -361,19 +350,9 @@ func (w *dfWalker) diag(analyzer string, pos token.Pos, key, format string, args
 	})
 }
 
-// ---- statement walk ----
+// ---- transfer functions ----
 
-func (w *dfWalker) walkBody(b *ast.BlockStmt, s *dfState) *dfState {
-	for _, st := range b.List {
-		if s.dead {
-			return s
-		}
-		s = w.walkStmt(st, s)
-	}
-	return s
-}
-
-func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
+func (w *dfWalker) leaf(s *dfState, stmt ast.Stmt) {
 	switch st := stmt.(type) {
 	case *ast.ExprStmt:
 		w.eval(st.X, s, true)
@@ -401,70 +380,6 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 				}
 			}
 		}
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		w.eval(st.Cond, s, true)
-		thenIn := s.clone()
-		elseIn := s
-		// Nil-guard refinement: on the arm where `x` is nil, an
-		// acquisition attributed to x never happened (`if v :=
-		// pool.Get(); v != nil` acquires only on the hit path).
-		if x, nilThen, ok := w.nilCond(st.Cond); ok {
-			if nilThen {
-				w.unacquire(thenIn, x)
-			} else {
-				w.unacquire(elseIn, x)
-			}
-		}
-		then := w.walkBody(st.Body, thenIn)
-		var els *dfState
-		if st.Else != nil {
-			els = w.walkStmt(st.Else, elseIn)
-		} else {
-			els = elseIn
-		}
-		return els.join(then)
-	case *ast.BlockStmt:
-		return w.walkBody(st, s)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		return w.walkLoop(s, func(cur *dfState) *dfState {
-			if st.Cond != nil {
-				w.eval(st.Cond, cur, true)
-			}
-			cur = w.walkBody(st.Body, cur)
-			if st.Post != nil && !cur.dead {
-				cur = w.walkStmt(st.Post, cur)
-			}
-			return cur
-		})
-	case *ast.RangeStmt:
-		xCells := w.eval(st.X, s, true)
-		return w.walkLoop(s, func(cur *dfState) *dfState {
-			w.bindRangeVar(cur, st.Key, xCells, true)
-			w.bindRangeVar(cur, st.Value, xCells, false)
-			return w.walkBody(st.Body, cur)
-		})
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		if st.Tag != nil {
-			w.eval(st.Tag, s, true)
-		}
-		return w.walkCases(st.Body, s)
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			s = w.walkStmt(st.Init, s)
-		}
-		s = w.walkStmt(st.Assign, s)
-		return w.walkCases(st.Body, s)
-	case *ast.SelectStmt:
-		return w.walkCases(st.Body, s)
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
 			for _, c := range w.eval(r, s, true) {
@@ -474,13 +389,6 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 				w.escape(s, c, escReturned, r.Pos(), "")
 			}
 		}
-		w.exitPath(s, st.Pos())
-		s.dead = true
-	case *ast.BranchStmt:
-		// break/continue/goto: the path leaves this straight-line region.
-		// Dropping the state is sound for may-facts and avoids phantom
-		// flows back into the loop body.
-		s.dead = true
 	case *ast.SendStmt:
 		w.eval(st.Chan, s, true)
 		for _, c := range w.eval(st.Value, s, true) {
@@ -502,55 +410,29 @@ func (w *dfWalker) walkStmt(stmt ast.Stmt, s *dfState) *dfState {
 		}
 	case *ast.IncDecStmt:
 		w.eval(st.X, s, true)
-	case *ast.LabeledStmt:
-		return w.walkStmt(st.Stmt, s)
 	}
-	return s
 }
 
-// walkLoop iterates body to a joined fixpoint, bounded by the finite
-// per-site cell universe (hard iteration cap as a backstop).
-func (w *dfWalker) walkLoop(s *dfState, body func(*dfState) *dfState) *dfState {
-	cur := s.clone()
-	for i := 0; i < 10; i++ {
-		before := cur.size()
-		after := body(cur.clone())
-		cur = cur.join(after)
-		if cur.size() == before {
-			break
-		}
+func (w *dfWalker) cond(s *dfState, e ast.Expr)          { w.eval(e, s, true) }
+func (w *dfWalker) selectHead(*dfState, *ast.SelectStmt) {}
+
+// assume is the nil-guard refinement: on the arm where `x` is nil, an
+// acquisition attributed to x never happened (`if v := pool.Get(); v !=
+// nil` acquires only on the hit path).
+func (w *dfWalker) assume(s *dfState, cond ast.Expr, truth bool) {
+	if x, nilThen, ok := w.nilCond(cond); ok && nilThen == truth {
+		w.unacquire(s, x)
 	}
-	// The zero-iteration path joins back in.
-	return cur.join(s)
 }
 
-// walkCases joins every case clause of a switch/select body.
-func (w *dfWalker) walkCases(body *ast.BlockStmt, s *dfState) *dfState {
-	out := s.clone() // no-clause-taken path
-	for _, cl := range body.List {
-		br := s.clone()
-		var stmts []ast.Stmt
-		switch c := cl.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.eval(e, br, true)
-			}
-			stmts = c.Body
-		case *ast.CommClause:
-			if c.Comm != nil {
-				br = w.walkStmt(c.Comm, br)
-			}
-			stmts = c.Body
-		}
-		for _, st := range stmts {
-			if br.dead {
-				break
-			}
-			br = w.walkStmt(st, br)
-		}
-		out = out.join(br)
+// rangeHead evaluates the range operand once; every iteration rebinds the
+// key and value to per-site element cells.
+func (w *dfWalker) rangeHead(s *dfState, st *ast.RangeStmt) func(*dfState) {
+	xCells := w.eval(st.X, s, true)
+	return func(cur *dfState) {
+		w.bindRangeVar(cur, st.Key, xCells, true)
+		w.bindRangeVar(cur, st.Value, xCells, false)
 	}
-	return out
 }
 
 func (w *dfWalker) bindRangeVar(s *dfState, e ast.Expr, xCells []*dfCell, isKey bool) {
@@ -583,9 +465,9 @@ func (w *dfWalker) bindRangeVar(s *dfState, e ast.Expr, xCells []*dfCell, isKey 
 	s.vars[obj] = []*dfCell{c}
 }
 
-// exitPath applies deferred calls (LIFO) and runs the leak check for one
+// exit applies deferred calls (LIFO) and runs the leak check for one
 // function exit.
-func (w *dfWalker) exitPath(s *dfState, pos token.Pos) {
+func (w *dfWalker) exit(s *dfState, pos token.Pos) {
 	for i := len(w.defers) - 1; i >= 0; i-- {
 		w.applyCallEffects(w.defers[i].call, w.defers[i].args, s)
 	}

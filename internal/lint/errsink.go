@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 )
 
 // NewErrSink builds the error-sink analyzer for the state packages: on
@@ -20,200 +20,203 @@ import (
 //     read, or still unread when the function ends.
 //
 // "Read" is any use of the variable — a comparison, a return, a wrapping
-// call, capture by a closure. Branches are walked against a copy of the
-// pending-error set and a read on any branch counts (the analysis is
-// deliberately permissive: it only reports errors no syntactic path
-// checks). Loop bodies are walked once; a variable the loop reassigns is
-// dropped from tracking, since a later iteration may read the value the
-// straight-line walk thinks is dead. Struct fields and package variables
-// are out of scope — only locals and named results are tracked.
+// call, capture by a closure. The last rule runs on the flow walker
+// (flow.go) as reaching assignments: each path carries the assignments
+// that reach it, and a read marks every one of them read, once for the
+// whole function. An assignment counts as checked when any path reads it,
+// a path that returns early included (the analysis is deliberately
+// permissive: it only reports errors no syntactic path checks), so a loop
+// that reads a value on its next iteration checks it. Struct fields and
+// package variables are out of scope — only locals and named results are
+// tracked.
 func NewErrSink(scope []string) *Analyzer {
 	a := &Analyzer{
 		Name: "errsink",
 		Doc:  "flags discarded, unchecked, and overwritten-before-check error values on state paths",
 	}
-	a.Run = func(p *Package) []Diagnostic {
-		if len(scope) > 0 && !pathMatches(p.Path, scope) {
-			return nil
-		}
+	a.RunModule = func(m *Module) []Diagnostic {
 		var diags []Diagnostic
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					if fn.Body != nil {
-						diags = append(diags, errSinkFunc(a, p, fn.Type, fn.Body)...)
-					}
-				case *ast.FuncLit:
-					diags = append(diags, errSinkFunc(a, p, fn.Type, fn.Body)...)
-				}
-				return true
-			})
+		for _, n := range m.Graph().Nodes {
+			if len(scope) == 0 || pathMatches(n.Pkg.Path, scope) {
+				diags = append(diags, errSinkFunc(a, n)...)
+			}
 		}
 		return diags
 	}
 	return a
 }
 
-// errFlow is the per-function walk state.
-type errFlow struct {
+// errState is one path's reaching assignments: the (variable, site)
+// pairs whose value may still be the variable's current one.
+type errState struct {
+	defs []errDef
+	dead bool
+}
+
+type errDef struct {
+	v  *types.Var
+	at token.Pos
+}
+
+func (s *errState) clone() *errState {
+	return &errState{defs: slices.Clone(s.defs), dead: s.dead}
+}
+
+func (s *errState) join(o *errState) *errState {
+	if o.isDead() {
+		return s
+	}
+	if s.isDead() {
+		return o.clone()
+	}
+	for _, d := range o.defs {
+		if !slices.Contains(s.defs, d) {
+			s.defs = append(s.defs, d)
+		}
+	}
+	return s
+}
+
+func (s *errState) size() int    { return len(s.defs) }
+func (s *errState) isDead() bool { return s == nil || s.dead }
+func (s *errState) kill()        { s.dead = true }
+
+// set makes site at (NoPos: none) the only reaching assignment of v,
+// reporting each one it replaces to replaced.
+func (s *errState) set(v *types.Var, at token.Pos, replaced func(prev token.Pos)) {
+	s.defs = slices.DeleteFunc(s.defs, func(d errDef) bool {
+		if d.v == v && replaced != nil {
+			replaced(d.at)
+		}
+		return d.v == v
+	})
+	if at != token.NoPos {
+		s.defs = append(s.defs, errDef{v: v, at: at})
+	}
+}
+
+// errRules are errsink's transfer functions for one function body.
+type errRules struct {
 	a *Analyzer
 	p *Package
 	// tracked holds the locals and named results of exact type error that
 	// the overwrite/unread checks apply to.
 	tracked map[*types.Var]bool
-	// pending maps a tracked variable to its last unread assignment.
-	pending map[*types.Var]token.Pos
-	diags   []Diagnostic
+	results map[*types.Var]bool // named error results: a bare return reads them
+	read    map[token.Pos]bool  // assignment sites some path reads
+	// events are the reassignments and exits the assignments reach, in
+	// walk order; read decides after the walk which ones are reported.
+	events []errEvent
+	seen   map[errEvent]bool
+	diags  []Diagnostic
+	said   map[string]bool
 }
 
-// errSinkFunc analyzes one function body. Nested function literals are
-// analyzed independently by the caller; here their interiors only count as
-// reads of the enclosing function's variables.
-func errSinkFunc(a *Analyzer, p *Package, ftype *ast.FuncType, body *ast.BlockStmt) []Diagnostic {
-	w := &errFlow{a: a, p: p, tracked: map[*types.Var]bool{}, pending: map[*types.Var]token.Pos{}}
-	if ftype.Results != nil {
-		for _, fld := range ftype.Results.List {
-			for _, name := range fld.Names {
-				if v, ok := p.Info.Defs[name].(*types.Var); ok && v != nil && errorType(v.Type()) {
-					w.tracked[v] = true
-				}
-			}
+// errEvent is assignment site prev of v reaching a reassignment at at, or
+// a function exit when at is NoPos.
+type errEvent struct {
+	v        *types.Var
+	at, prev token.Pos
+}
+
+// errSinkFunc analyzes one call-graph node. Nested function literals are
+// nodes of their own; here their interiors only count as reads of the
+// enclosing function's variables.
+func errSinkFunc(a *Analyzer, n *CGNode) []Diagnostic {
+	r := &errRules{a: a, p: n.Pkg, tracked: map[*types.Var]bool{}, results: map[*types.Var]bool{},
+		read: map[token.Pos]bool{}, seen: map[errEvent]bool{}, said: map[string]bool{}}
+	results := nodeSig(n).Results()
+	for i := 0; i < results.Len(); i++ {
+		if v := results.At(i); v.Name() != "" && errorType(v.Type()) {
+			r.tracked[v] = true
+			r.results[v] = true
 		}
 	}
-	w.block(body)
-	var unread []*types.Var
-	for v := range w.pending {
-		unread = append(unread, v)
+	walkFlow[*errState](n.Pkg, r, n.Body, &errState{})
+	for _, e := range r.events {
+		switch {
+		case r.read[e.prev]:
+		case e.at == token.NoPos:
+			r.diag(e.prev, "error assigned to %s is never checked", e.v.Name())
+		case e.at != e.prev || !r.seen[errEvent{v: e.v, prev: e.prev}]:
+			// A loop reassigning its own unread value is reported once,
+			// as never checked, when the value also reaches an exit.
+			r.diag(e.at, "%s is reassigned before the error assigned at line %d is checked",
+				e.v.Name(), r.p.Fset.Position(e.prev).Line)
+		}
 	}
-	sort.Slice(unread, func(i, j int) bool { return w.pending[unread[i]] < w.pending[unread[j]] })
-	for _, v := range unread {
-		w.diags = append(w.diags, a.Diag(p, w.pending[v], "error assigned to %s is never checked", v.Name()))
-	}
-	return w.diags
+	return r.diags
 }
 
-func (w *errFlow) block(b *ast.BlockStmt) {
-	for _, s := range b.List {
-		w.stmt(s)
+// diag reports one finding once: a loop's later iterations revisit its
+// sites.
+func (r *errRules) diag(pos token.Pos, format string, args ...any) {
+	d := r.a.Diag(r.p, pos, format, args...)
+	if key := d.String(); !r.said[key] {
+		r.said[key] = true
+		r.diags = append(r.diags, d)
 	}
 }
 
-func (w *errFlow) stmt(s ast.Stmt) {
-	switch x := s.(type) {
+func (r *errRules) event(e errEvent) {
+	if !r.seen[e] {
+		r.seen[e] = true
+		r.events = append(r.events, e)
+	}
+}
+
+func (r *errRules) leaf(s *errState, st ast.Stmt) {
+	switch x := st.(type) {
 	case *ast.AssignStmt:
-		w.assign(x)
+		r.assign(s, x)
 	case *ast.DeclStmt:
-		w.decl(x)
+		r.decl(s, x)
 	case *ast.ExprStmt:
-		w.reads(x.X)
+		r.reads(s, x.X)
 		if call, ok := unparen(x.X).(*ast.CallExpr); ok {
-			w.uncheckedCall(call, "call to")
+			r.uncheckedCall(call, "call to")
 		}
 	case *ast.DeferStmt:
-		w.reads(x.Call)
-		w.uncheckedCall(x.Call, "deferred call to")
+		r.reads(s, x.Call)
+		r.uncheckedCall(x.Call, "deferred call to")
 	case *ast.GoStmt:
-		w.reads(x.Call)
-		w.uncheckedCall(x.Call, "go call to")
+		r.reads(s, x.Call)
+		r.uncheckedCall(x.Call, "go call to")
 	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			w.reads(e)
-		}
+		r.reads(s, x)
 		if len(x.Results) == 0 {
 			// A bare return hands the named results to the caller.
-			for v := range w.tracked {
-				delete(w.pending, v)
+			for v := range r.results {
+				r.readVar(s, v)
 			}
 		}
-	case *ast.IfStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Cond)
-		branches := []map[*types.Var]token.Pos{
-			w.branch(func() { w.block(x.Body) }),
-		}
-		if x.Else != nil {
-			branches = append(branches, w.branch(func() { w.stmt(x.Else) }))
-		}
-		w.mergeReads(branches)
-	case *ast.ForStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Cond)
-		before := copyPending(w.pending)
-		cl := w.branch(func() {
-			w.block(x.Body)
-			if x.Post != nil {
-				w.stmt(x.Post)
-			}
-		})
-		w.loopMerge(before, cl, x)
-	case *ast.RangeStmt:
-		w.reads(x.X)
-		before := copyPending(w.pending)
-		cl := w.branch(func() { w.block(x.Body) })
-		w.loopMerge(before, cl, x)
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.reads(x.Tag)
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.reads(e)
-			}
-			branches = append(branches, w.branch(func() { w.stmtList(cc.Body) }))
-		}
-		w.mergeReads(branches)
-	case *ast.TypeSwitchStmt:
-		if x.Init != nil {
-			w.stmt(x.Init)
-		}
-		w.readsNode(x.Assign)
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CaseClause)
-			branches = append(branches, w.branch(func() { w.stmtList(cc.Body) }))
-		}
-		w.mergeReads(branches)
-	case *ast.SelectStmt:
-		var branches []map[*types.Var]token.Pos
-		for _, c := range x.Body.List {
-			cc := c.(*ast.CommClause)
-			branches = append(branches, w.branch(func() {
-				if cc.Comm != nil {
-					w.stmt(cc.Comm)
-				}
-				w.stmtList(cc.Body)
-			}))
-		}
-		w.mergeReads(branches)
-	case *ast.BlockStmt:
-		w.block(x)
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt)
 	default:
-		// SendStmt, IncDecStmt, BranchStmt, EmptyStmt: plain reads.
-		w.readsNode(s)
+		// SendStmt, IncDecStmt: plain reads.
+		r.reads(s, st)
 	}
 }
 
-func (w *errFlow) stmtList(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+func (r *errRules) cond(s *errState, e ast.Expr)          { r.reads(s, e) }
+func (r *errRules) assume(*errState, ast.Expr, bool)      {}
+func (r *errRules) selectHead(*errState, *ast.SelectStmt) {}
+
+func (r *errRules) rangeHead(s *errState, st *ast.RangeStmt) func(*errState) {
+	r.reads(s, st.X)
+	return nil
+}
+
+// exit records the assignments still reaching the end of the function.
+func (r *errRules) exit(s *errState, _ token.Pos) {
+	for _, d := range s.defs {
+		r.event(errEvent{v: d.v, prev: d.at})
 	}
 }
 
 // assign handles = and := statements: blank discards, overwrites of
 // pending errors, and new pending assignments.
-func (w *errFlow) assign(as *ast.AssignStmt) {
-	for _, r := range as.Rhs {
-		w.reads(r)
+func (r *errRules) assign(s *errState, as *ast.AssignStmt) {
+	for _, e := range as.Rhs {
+		r.reads(s, e)
 	}
 	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 		return // compound assignment ops never produce errors
@@ -229,73 +232,68 @@ func (w *errFlow) assign(as *ast.AssignStmt) {
 		if !ok {
 			// m[k] = ... reads m and k; a write through a selector or
 			// index is never a tracked local.
-			w.reads(l)
+			r.reads(s, l)
 			continue
 		}
 		if id.Name == "_" {
-			if t := w.assignType(as, i); t != nil && errorType(t) {
+			if t := r.assignType(as, i); t != nil && errorType(t) {
 				if callDesc != "" {
-					w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-						"error result of %s is discarded", callDesc))
+					r.diag(id.Pos(), "error result of %s is discarded", callDesc)
 				} else {
-					w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-						"error value is discarded"))
+					r.diag(id.Pos(), "error value is discarded")
 				}
 			}
 			continue
 		}
 		var v *types.Var
 		if as.Tok == token.DEFINE {
-			v, _ = w.p.Info.Defs[id].(*types.Var)
+			v, _ = r.p.Info.Defs[id].(*types.Var)
 			if v == nil {
 				// Redeclaration inside a multi-variable := resolves as a use.
-				v, _ = w.p.Info.Uses[id].(*types.Var)
+				v, _ = r.p.Info.Uses[id].(*types.Var)
 			}
 		} else {
-			v, _ = w.p.Info.Uses[id].(*types.Var)
+			v, _ = r.p.Info.Uses[id].(*types.Var)
 		}
 		if v == nil || !errorType(v.Type()) {
 			continue
 		}
 		if as.Tok == token.DEFINE {
-			w.tracked[v] = true
+			r.tracked[v] = true
 		}
-		if !w.tracked[v] {
+		if !r.tracked[v] {
 			continue // parameter, package variable, or field: out of scope
 		}
-		if prev, ok := w.pending[v]; ok {
-			w.diags = append(w.diags, w.a.Diag(w.p, id.Pos(),
-				"%s is reassigned before the error assigned at line %d is checked",
-				v.Name(), w.p.Fset.Position(prev).Line))
+		at := id.Pos()
+		if t := r.assignType(as, i); t != nil && isUntypedNil(t) {
+			at = token.NoPos // explicit reset, nothing left to check
 		}
-		if t := w.assignType(as, i); t != nil && isUntypedNil(t) {
-			delete(w.pending, v) // explicit reset, nothing left to check
-		} else {
-			w.pending[v] = id.Pos()
-		}
+		s.set(v, at, func(prev token.Pos) {
+			r.event(errEvent{v: v, at: id.Pos(), prev: prev})
+		})
 	}
 }
 
 // assignType resolves the type flowing into LHS position i.
-func (w *errFlow) assignType(as *ast.AssignStmt, i int) types.Type {
+func (r *errRules) assignType(as *ast.AssignStmt, i int) types.Type {
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		if tup, ok := w.p.Info.Types[as.Rhs[0]].Type.(*types.Tuple); ok && i < tup.Len() {
+		if tup, ok := r.p.Info.Types[as.Rhs[0]].Type.(*types.Tuple); ok && i < tup.Len() {
 			return tup.At(i).Type()
 		}
 		return nil
 	}
 	if i < len(as.Rhs) {
-		return w.p.Info.Types[as.Rhs[i]].Type
+		return r.p.Info.Types[as.Rhs[i]].Type
 	}
 	return nil
 }
 
 // decl handles `var` statements, which can both declare tracked variables
 // and leave an initial error pending.
-func (w *errFlow) decl(ds *ast.DeclStmt) {
+func (r *errRules) decl(s *errState, ds *ast.DeclStmt) {
 	gd, ok := ds.Decl.(*ast.GenDecl)
 	if !ok || gd.Tok != token.VAR {
-		w.readsNode(ds)
+		r.reads(s, ds)
 		return
 	}
 	for _, spec := range gd.Specs {
@@ -304,104 +302,54 @@ func (w *errFlow) decl(ds *ast.DeclStmt) {
 			continue
 		}
 		for _, val := range vs.Values {
-			w.reads(val)
+			r.reads(s, val)
 		}
 		for _, name := range vs.Names {
-			v, _ := w.p.Info.Defs[name].(*types.Var)
+			v, _ := r.p.Info.Defs[name].(*types.Var)
 			if v == nil || !errorType(v.Type()) {
 				continue
 			}
-			w.tracked[v] = true
+			r.tracked[v] = true
+			at := token.NoPos
 			if len(vs.Values) > 0 {
-				w.pending[v] = name.Pos()
+				at = name.Pos()
 			}
+			s.set(v, at, nil)
 		}
 	}
 }
 
 // uncheckedCall reports a statement-position call whose results include an
 // error nothing receives.
-func (w *errFlow) uncheckedCall(call *ast.CallExpr, what string) {
-	if !typeHasError(w.p.Info.Types[call].Type) {
-		return
+func (r *errRules) uncheckedCall(call *ast.CallExpr, what string) {
+	if typeHasError(r.p.Info.Types[call].Type) {
+		r.diag(call.Pos(), "%s %s drops its error result", what, types.ExprString(call.Fun))
 	}
-	w.diags = append(w.diags, w.a.Diag(w.p, call.Pos(),
-		"%s %s drops its error result", what, types.ExprString(call.Fun)))
 }
 
-// reads marks every variable used anywhere inside e as read, function-
-// literal interiors included: a captured error escapes the straight-line
-// view, so the closure must count as a potential check.
-func (w *errFlow) reads(e ast.Expr) {
-	if e == nil {
+// reads marks the assignments reaching every variable used anywhere inside
+// n as read, function-literal interiors included: a captured error escapes
+// the straight-line view, so the closure must count as a potential check.
+func (r *errRules) reads(s *errState, n ast.Node) {
+	if n == nil || len(s.defs) == 0 {
 		return
 	}
-	w.readsNode(e)
-}
-
-func (w *errFlow) readsNode(n ast.Node) {
 	ast.Inspect(n, func(x ast.Node) bool {
 		if id, ok := x.(*ast.Ident); ok {
-			if v, ok := w.p.Info.Uses[id].(*types.Var); ok {
-				delete(w.pending, v)
+			if v, ok := r.p.Info.Uses[id].(*types.Var); ok {
+				r.readVar(s, v)
 			}
 		}
 		return true
 	})
 }
 
-// branch runs fn against a copy of the pending set and returns the copy;
-// diagnostics found inside the branch are kept.
-func (w *errFlow) branch(fn func()) map[*types.Var]token.Pos {
-	saved := w.pending
-	w.pending = copyPending(saved)
-	fn()
-	cl := w.pending
-	w.pending = saved
-	return cl
-}
-
-// mergeReads clears every pending variable that at least one branch read:
-// the analysis reports only errors no syntactic path checks.
-func (w *errFlow) mergeReads(branches []map[*types.Var]token.Pos) {
-	for v := range w.pending {
-		for _, b := range branches {
-			if _, ok := b[v]; !ok {
-				delete(w.pending, v)
-				break
-			}
+func (r *errRules) readVar(s *errState, v *types.Var) {
+	for _, d := range s.defs {
+		if d.v == v {
+			r.read[d.at] = true
 		}
 	}
-}
-
-// loopMerge folds one symbolic iteration of a loop body back into the live
-// set. Reads clear as usual. A variable the body reassigns leaves the walk:
-// a later iteration may read the value the straight-line view considers
-// dead — unless the variable is declared inside the body, where each
-// iteration gets a fresh one and an unread value truly is unread.
-func (w *errFlow) loopMerge(before, cl map[*types.Var]token.Pos, loop ast.Node) {
-	for v := range before {
-		if _, ok := cl[v]; !ok {
-			delete(w.pending, v)
-		}
-	}
-	for v, pos := range cl {
-		if bp, ok := before[v]; ok && bp == pos {
-			continue // untouched by the body
-		}
-		delete(w.pending, v)
-		if v.Pos() >= loop.Pos() && v.Pos() <= loop.End() {
-			w.pending[v] = pos
-		}
-	}
-}
-
-func copyPending(m map[*types.Var]token.Pos) map[*types.Var]token.Pos {
-	out := make(map[*types.Var]token.Pos, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // typeHasError reports whether t is, or is a tuple containing, the

@@ -274,25 +274,13 @@ func (rs *reachScan) bindParams() {
 		_, ok := t.Underlying().(*types.Pointer)
 		return ok
 	}
-	if rs.n.Fn != nil {
-		sig := rs.n.Fn.Type().(*types.Signature)
-		if r := sig.Recv(); r != nil {
-			rs.params[r] = ptr(r.Type())
-		}
-		for i := 0; i < sig.Params().Len(); i++ {
-			p := sig.Params().At(i)
-			rs.params[p] = ptr(p.Type())
-		}
-		return
+	sig := nodeSig(rs.n)
+	if r := sig.Recv(); r != nil {
+		rs.params[r] = ptr(r.Type())
 	}
-	if rs.n.Lit != nil {
-		for _, f := range rs.n.Lit.Type.Params.List {
-			for _, name := range f.Names {
-				if obj := rs.p.Info.Defs[name]; obj != nil {
-					rs.params[obj] = ptr(obj.Type())
-				}
-			}
-		}
+	for i := 0; i < sig.Params().Len(); i++ {
+		p := sig.Params().At(i)
+		rs.params[p] = ptr(p.Type())
 	}
 }
 

@@ -168,10 +168,6 @@ func TestStateScope(t *testing.T) {
 	}
 }
 
-// TestSuppressedReasons proves //lint:ignore justifications survive into
-// the JSON schema: RunAll returns each silenced finding with its
-// directive's reason, Run stays the unsuppressed projection, and
-// SuppressedFindings carries the reason into the Report.
 // The lifetime fixtures run under all three lifetime analyzers at once:
 // each fixture asserts its own analyzer's findings and the absence of
 // cross-findings from the other two (they share one dataflow run).
@@ -203,6 +199,10 @@ func TestLifetimeScope(t *testing.T) {
 	}
 }
 
+// TestSuppressedReasons proves //lint:ignore justifications survive into
+// the JSON schema: RunAll returns each silenced finding with its
+// directive's reason, Run stays the unsuppressed projection, and
+// SuppressedFindings carries the reason into the Report.
 func TestSuppressedReasons(t *testing.T) {
 	p := loadFixture(t, "ignore")
 	analyzers := []*Analyzer{NewWallclock(nil)}

@@ -1,10 +1,10 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -16,19 +16,12 @@ import (
 // never releases, and every goroutine needing the lock wedges behind it
 // (cf. STRETCH's shared-window lock discipline).
 //
-// The scan is flow-sensitive within one function body. Branches are
-// explored independently and their exit states joined may-held (a lock
-// held on any fall-through path stays tracked), with two precision rules
-// the naive clone-and-discard scheme gets wrong:
-//
-//   - a branch that terminates (return / panic / goto) contributes nothing
-//     to the post-branch state, so `if cond { mu.Unlock(); return }` does
-//     not leak a phantom release — and `mu.Lock(); if c { mu.Unlock() };
-//     send` is still flagged because the else path falls through held;
-//   - locks acquired or released inside a branch propagate to the join,
-//     so a release on every fall-through path really ends the held region
-//     (no over-extension) and an acquire inside a branch extends it (no
-//     under-extension).
+// The scan runs on the flow walker (flow.go) with a may-held lock set per
+// path: a lock held on any path reaching an operation is reported there.
+// So a path that returns contributes nothing past its branch, an unlock on
+// every path ends the held region, a lock taken on one branch, carried
+// into the next iteration, or carried out of the loop by break is still
+// held, and a select's clauses are covered by the select-head check.
 //
 // defer mu.Unlock() keeps the lock held to the end of the enclosing body,
 // including past early returns in later branches. A deferred call that may
@@ -48,85 +41,137 @@ func NewLockHeldSend() *Analyzer {
 		sums := m.BlockSummaries()
 		var diags []Diagnostic
 		for _, n := range g.Nodes {
-			s := &lockScan{
-				node:  n,
-				pkg:   n.Pkg,
-				graph: g,
-				sums:  sums,
-				held:  map[string]token.Pos{},
-				defUn: map[string]bool{},
-				report: func(pos token.Pos, chain []string, format string, args ...any) {
+			reported := map[token.Pos]bool{}
+			report := func(pos token.Pos, chain []string, format string, args ...any) {
+				if !reported[pos] { // a loop's later iterations revisit the site
+					reported[pos] = true
 					d := a.Diag(n.Pkg, pos, format, args...)
 					d.Chain = chain
 					diags = append(diags, d)
-				},
+				}
 			}
-			s.block(n.Body)
+			blocks := func(s *lockState, pos token.Pos, op string) {
+				if lock := s.anyHeld(); lock != "" {
+					report(pos, nil, lockHeldMsg[op], lock)
+				}
+			}
+			calls := func(s *lockState, call *ast.CallExpr, deferred bool) {
+				lock := s.anyHeld()
+				if deferred {
+					lock = s.anyDeferred()
+				}
+				if lock == "" {
+					return
+				}
+				callee, _ := g.resolveCall(n.Pkg, call)
+				if callee == nil || !sums[callee].Blocks {
+					return // unknown or external callee: bounded, no finding
+				}
+				chain, desc, site := BlockChain(callee, sums)
+				witness := fmt.Sprintf("%s; %s at %s", strings.Join(chain, " → "), desc, chainSite(site))
+				if deferred {
+					report(call.Pos(), chain, "deferred call to %s runs before the deferred %s.Unlock and may block (%s); unlock explicitly before deferring it",
+						callee.DisplayName(), lock, witness)
+				} else {
+					report(call.Pos(), chain, "call to %s while %s is held may block (%s) and can deadlock the engine; release the lock first",
+						callee.DisplayName(), lock, witness)
+				}
+			}
+			walkFlow[*lockState](n.Pkg, newLockRules(n.Pkg, blocks, calls), n.Body, newLockState())
 		}
 		return diags
 	}
 	return a
 }
 
-// lockScan walks one function body tracking which mutexes are held.
-type lockScan struct {
-	node   *CGNode
-	pkg    *Package
-	graph  *CallGraph
-	sums   map[*CGNode]*BlockSummary
-	held   map[string]token.Pos // lock expr → acquisition position
-	defUn  map[string]bool      // locks with a pending deferred unlock
-	report func(pos token.Pos, chain []string, format string, args ...any)
+// lockHeldMsg words a blocking channel operation (by its BlockSummary
+// description) found under a held lock.
+var lockHeldMsg = map[string]string{
+	"channel send":           "channel send while %s is held can deadlock the engine; release the lock first",
+	"channel receive":        "blocking channel receive while %s is held can deadlock the engine; release the lock first",
+	"select with no default": "select with no default blocks while %s is held; release the lock first",
+	"range over channel":     "range over channel while %s is held blocks between receives; release the lock first",
 }
 
-// clone copies the scan state for a branch.
-func (s *lockScan) clone() *lockScan {
-	held := make(map[string]token.Pos, len(s.held))
+// lockState is one path's lock state.
+type lockState struct {
+	held  map[string]token.Pos // lock expr → acquisition position
+	defUn map[string]bool      // locks with a pending deferred unlock
+	dead  bool
+}
+
+func newLockState() *lockState {
+	return &lockState{held: map[string]token.Pos{}, defUn: map[string]bool{}}
+}
+
+func (s *lockState) clone() *lockState {
+	c := newLockState()
+	c.dead = s.dead
 	for k, v := range s.held {
-		held[k] = v
+		c.held[k] = v
 	}
-	defUn := make(map[string]bool, len(s.defUn))
 	for k := range s.defUn {
-		defUn[k] = true
+		c.defUn[k] = true
 	}
-	return &lockScan{
-		node: s.node, pkg: s.pkg, graph: s.graph, sums: s.sums,
-		held: held, defUn: defUn, report: s.report,
-	}
+	return c
 }
 
-// join merges the exit states of the branches that fall through: a lock is
-// held after the branch point when any fall-through path holds it
-// (may-held — the analyzer reports possible deadlocks).
-func (s *lockScan) join(exits []*lockScan) {
-	held := map[string]token.Pos{}
-	defUn := map[string]bool{}
-	for _, e := range exits {
-		for k, v := range e.held {
-			if _, ok := held[k]; !ok {
-				held[k] = v
-			}
-		}
-		for k := range e.defUn {
-			defUn[k] = true
+// join is may-held: a lock held on either path stays held.
+func (s *lockState) join(o *lockState) *lockState {
+	if o.isDead() {
+		return s
+	}
+	if s.isDead() {
+		return o.clone()
+	}
+	for k, v := range o.held {
+		if _, ok := s.held[k]; !ok {
+			s.held[k] = v
 		}
 	}
-	s.held = held
-	s.defUn = defUn
+	for k := range o.defUn {
+		s.defUn[k] = true
+	}
+	return s
 }
+
+func (s *lockState) size() int    { return len(s.held) + len(s.defUn) }
+func (s *lockState) isDead() bool { return s == nil || s.dead }
+func (s *lockState) kill()        { s.dead = true }
 
 // anyHeld returns the render of one held lock ("" when none); ties break
 // lexicographically so messages are deterministic.
-func (s *lockScan) anyHeld() string {
-	if len(s.held) == 0 {
-		return ""
+func (s *lockState) anyHeld() string { return firstKey(s.held) }
+
+// anyDeferred returns one lock with a pending deferred unlock
+// (deterministic).
+func (s *lockState) anyDeferred() string { return firstKey(s.defUn) }
+
+func firstKey[V any](m map[string]V) string {
+	first := ""
+	for k := range m {
+		if first == "" || k < first {
+			first = k
+		}
 	}
-	keys := make([]string, 0, len(s.held))
-	for k := range s.held {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys[0]
+	return first
+}
+
+// lockRules are the transfer functions shared by lockheld-send and the
+// direct-blocking scan behind BlockSummary: both walk a body for the
+// channel operations that can block, tracking the locks held at each.
+type lockRules struct {
+	pkg   *Package
+	comms map[ast.Stmt]bool // select clause communications: covered by the select head
+	// blocks sees every channel operation that can block, named as in
+	// BlockSummary.Desc; calls, if set, sees every other call, and every
+	// deferred call when it is made.
+	blocks func(s *lockState, pos token.Pos, op string)
+	calls  func(s *lockState, call *ast.CallExpr, deferred bool)
+}
+
+func newLockRules(p *Package, blocks func(*lockState, token.Pos, string), calls func(*lockState, *ast.CallExpr, bool)) *lockRules {
+	return &lockRules{pkg: p, comms: map[ast.Stmt]bool{}, blocks: blocks, calls: calls}
 }
 
 // syncLockCall classifies a call as a sync Lock/Unlock method; it returns
@@ -150,38 +195,14 @@ func syncLockCall(p *Package, call *ast.CallExpr) (recv, method string, ok bool)
 	return "", "", false
 }
 
-// block scans a statement list; it reports whether control cannot fall out
-// of the end (the list terminates in return/panic/goto).
-func (s *lockScan) block(b *ast.BlockStmt) bool {
-	for _, st := range b.List {
-		if s.stmt(st) {
-			return true
-		}
+func (r *lockRules) leaf(s *lockState, st ast.Stmt) {
+	if r.comms[st] {
+		return
 	}
-	return false
-}
-
-// isPanicCall reports whether e is a call to the panic builtin.
-func isPanicCall(p *Package, e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isBuiltin := p.Info.Uses[id].(*types.Builtin)
-	return isBuiltin && id.Name == "panic"
-}
-
-// stmt scans one statement; the return value reports termination (control
-// cannot reach the next statement).
-func (s *lockScan) stmt(st ast.Stmt) bool {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
 		if call, ok := st.X.(*ast.CallExpr); ok {
-			if recv, method, ok := syncLockCall(s.pkg, call); ok {
+			if recv, method, ok := syncLockCall(r.pkg, call); ok {
 				switch method {
 				case "Lock", "RLock":
 					s.held[recv] = call.Pos()
@@ -189,250 +210,77 @@ func (s *lockScan) stmt(st ast.Stmt) bool {
 					delete(s.held, recv)
 					delete(s.defUn, recv)
 				}
-				return false
+				return
 			}
 		}
-		s.expr(st.X)
-		return isPanicCall(s.pkg, st.X)
 	case *ast.DeferStmt:
-		if recv, method, ok := syncLockCall(s.pkg, st.Call); ok {
+		if recv, method, ok := syncLockCall(r.pkg, st.Call); ok {
 			if method == "Unlock" || method == "RUnlock" {
 				// defer x.Unlock() holds the lock to the end of the
 				// function: the held entry stays, and later deferred
 				// blocking calls are now dangerous (LIFO order).
 				s.defUn[recv] = true
 			}
-			return false
+			return
 		}
-		for _, arg := range st.Call.Args {
-			s.expr(arg)
+		r.args(s, st.Call)
+		if r.calls != nil {
+			r.calls(s, st.Call, true)
 		}
-		if len(s.defUn) > 0 {
-			if callee, _ := s.graph.resolveCall(s.pkg, st.Call); callee != nil {
-				if sum := s.sums[callee]; sum != nil && sum.Blocks {
-					chain, desc, site := BlockChain(callee, s.sums)
-					s.report(st.Call.Pos(), chain,
-						"deferred call to %s runs before the deferred %s.Unlock and may block (%s; %s at %s); unlock explicitly before deferring it",
-						callee.DisplayName(), s.anyDeferred(), strings.Join(chain, " → "), desc, chainSite(site))
-				}
-			}
-		}
-		return false
+		return
 	case *ast.GoStmt:
 		// The goroutine body runs later without our locks; arguments are
 		// evaluated now.
-		for _, arg := range st.Call.Args {
-			s.expr(arg)
-		}
-		return false
+		r.args(s, st.Call)
+		return
 	case *ast.SendStmt:
-		if lock := s.anyHeld(); lock != "" {
-			s.report(st.Arrow, nil, "channel send while %s is held can deadlock the engine; release the lock first", lock)
-		}
-		s.expr(st.Chan)
-		s.expr(st.Value)
-		return false
-	case *ast.AssignStmt:
-		for _, e := range st.Rhs {
-			s.expr(e)
-		}
-		for _, e := range st.Lhs {
-			s.expr(e)
-		}
-		return false
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.expr(v)
-					}
-				}
-			}
-		}
-		return false
-	case *ast.ReturnStmt:
-		for _, e := range st.Results {
-			s.expr(e)
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue leave the enclosing construct with the current
-		// state; treating them as non-terminating keeps their exit state
-		// in the may-held join. goto is treated as terminating.
-		return st.Tok == token.GOTO
-	case *ast.IfStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		s.expr(st.Cond)
-		then := s.clone()
-		thenTerm := then.block(st.Body)
-		var exits []*lockScan
-		if !thenTerm {
-			exits = append(exits, then)
-		}
-		if st.Else != nil {
-			els := s.clone()
-			elseTerm := els.stmt(st.Else)
-			if !elseTerm {
-				exits = append(exits, els)
-			}
-			if thenTerm && elseTerm {
-				return true
-			}
-		} else {
-			exits = append(exits, s.clone()) // condition false: state unchanged
-		}
-		s.join(exits)
-		return false
-	case *ast.ForStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Cond != nil {
-			s.expr(st.Cond)
-		}
-		body := s.clone()
-		bodyTerm := body.block(st.Body)
-		exits := []*lockScan{s.clone()} // zero iterations
-		if !bodyTerm {
-			exits = append(exits, body)
-		}
-		s.join(exits)
-		return false
-	case *ast.RangeStmt:
-		s.expr(st.X)
-		if lock := s.anyHeld(); lock != "" {
-			if t := s.pkg.Info.Types[st.X].Type; t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					s.report(st.For, nil, "range over channel while %s is held blocks between receives; release the lock first", lock)
-				}
-			}
-		}
-		body := s.clone()
-		bodyTerm := body.block(st.Body)
-		exits := []*lockScan{s.clone()}
-		if !bodyTerm {
-			exits = append(exits, body)
-		}
-		s.join(exits)
-		return false
-	case *ast.SwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		if st.Tag != nil {
-			s.expr(st.Tag)
-		}
-		return s.caseBodies(st.Body, hasDefaultCase(st.Body))
-	case *ast.TypeSwitchStmt:
-		if st.Init != nil {
-			s.stmt(st.Init)
-		}
-		return s.caseBodies(st.Body, hasDefaultCase(st.Body))
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if lock := s.anyHeld(); lock != "" && !hasDefault {
-			s.report(st.Select, nil, "select with no default blocks while %s is held; release the lock first", lock)
-		}
-		var exits []*lockScan
-		for _, c := range st.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				br := s.clone()
-				term := false
-				for _, b := range cc.Body {
-					if term = br.stmt(b); term {
-						break
-					}
-				}
-				if !term {
-					exits = append(exits, br)
-				}
-			}
-		}
-		if len(exits) == 0 && len(st.Body.List) > 0 {
-			return true
-		}
-		s.join(exits)
-		return false
-	case *ast.BlockStmt:
-		return s.block(st)
-	case *ast.LabeledStmt:
-		return s.stmt(st.Stmt)
-	case *ast.IncDecStmt:
-		s.expr(st.X)
-		return false
+		r.blocks(s, st.Arrow, "channel send")
 	}
-	return false
+	r.expr(s, st)
 }
 
-// caseBodies explores switch clauses with cloned states and joins the
-// fall-out states; without a default clause the pre-switch state also
-// falls through.
-func (s *lockScan) caseBodies(body *ast.BlockStmt, hasDefault bool) bool {
-	var exits []*lockScan
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
+func (r *lockRules) args(s *lockState, call *ast.CallExpr) {
+	for _, arg := range call.Args {
+		r.expr(s, arg)
+	}
+}
+
+func (r *lockRules) cond(s *lockState, e ast.Expr)     { r.expr(s, e) }
+func (r *lockRules) assume(*lockState, ast.Expr, bool) {}
+func (r *lockRules) exit(*lockState, token.Pos)        {}
+
+// rangeHead makes a range over a channel block at the top of every
+// iteration: each one waits for the next receive.
+func (r *lockRules) rangeHead(s *lockState, st *ast.RangeStmt) func(*lockState) {
+	r.expr(s, st.X)
+	if t := r.pkg.Info.Types[st.X].Type; t != nil {
+		if _, isChan := t.Underlying().(*types.Chan); isChan {
+			return func(s *lockState) { r.blocks(s, st.For, "range over channel") }
 		}
-		br := s.clone()
-		for _, e := range cc.List {
-			br.expr(e)
-		}
-		term := false
-		for _, b := range cc.Body {
-			if term = br.stmt(b); term {
-				break
-			}
-		}
-		if !term {
-			exits = append(exits, br)
+	}
+	return nil
+}
+
+// selectHead makes a select with no default block; the communications of
+// every select are then exempt from the per-operation checks.
+func (r *lockRules) selectHead(s *lockState, st *ast.SelectStmt) {
+	hasDefault := false
+	for _, c := range st.Body.List {
+		if cc := c.(*ast.CommClause); cc.Comm == nil {
+			hasDefault = true
+		} else {
+			r.comms[cc.Comm] = true
 		}
 	}
 	if !hasDefault {
-		exits = append(exits, s.clone())
+		r.blocks(s, st.Select, "select with no default")
 	}
-	if len(exits) == 0 {
-		return true
-	}
-	s.join(exits)
-	return false
 }
 
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, c := range body.List {
-		if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// anyDeferred returns one lock with a pending deferred unlock
-// (deterministic).
-func (s *lockScan) anyDeferred() string {
-	keys := make([]string, 0, len(s.defUn))
-	for k := range s.defUn {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if len(keys) == 0 {
-		return ""
-	}
-	return keys[0]
-}
-
-// expr flags blocking receives — and calls to may-block functions — inside
-// an expression while locked; nested function literals are opaque (they
-// run with their own lock state).
-func (s *lockScan) expr(e ast.Expr) {
+// expr visits the receives and calls inside an expression or statement;
+// nested function literals are opaque (they run with their own lock
+// state).
+func (r *lockRules) expr(s *lockState, e ast.Node) {
 	if e == nil {
 		return
 	}
@@ -442,40 +290,15 @@ func (s *lockScan) expr(e ast.Expr) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if lock := s.anyHeld(); lock != "" {
-					s.report(n.OpPos, nil, "blocking channel receive while %s is held can deadlock the engine; release the lock first", lock)
-				}
+				r.blocks(s, n.OpPos, "channel receive")
 			}
 		case *ast.CallExpr:
-			s.checkCall(n)
+			if r.calls != nil {
+				r.calls(s, n, false)
+			}
 		}
 		return true
 	})
-}
-
-// checkCall consults the callee's blocking summary: a call that may block
-// while a lock is held is the interprocedural form of the lock-held send,
-// reported with the full witness call chain.
-func (s *lockScan) checkCall(call *ast.CallExpr) {
-	lock := s.anyHeld()
-	if lock == "" {
-		return
-	}
-	if _, _, isSync := syncLockCall(s.pkg, call); isSync {
-		return
-	}
-	callee, _ := s.graph.resolveCall(s.pkg, call)
-	if callee == nil {
-		return // unknown or external callee: bounded, no finding
-	}
-	sum := s.sums[callee]
-	if sum == nil || !sum.Blocks {
-		return
-	}
-	chain, desc, site := BlockChain(callee, s.sums)
-	s.report(call.Pos(), chain,
-		"call to %s while %s is held may block (%s; %s at %s) and can deadlock the engine; release the lock first",
-		callee.DisplayName(), lock, strings.Join(chain, " → "), desc, chainSite(site))
 }
 
 // forEachFunc visits the body of every function and function literal in

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"path/filepath"
 )
 
@@ -91,88 +89,17 @@ func chainSite(pos token.Position) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }
 
-// directBlock scans one function body for its first (in source order)
-// unconditionally blocking channel operation. Nested function literals are
-// separate nodes and are skipped; operations that are the communication
-// clause of a select with a default are non-blocking and are skipped.
+// directBlock returns a body's first channel operation that can block, in
+// walk order. It runs lockheld-send's transfer functions (lockheld.go) on
+// the flow walker, so only reachable operations count, a goroutine launch
+// contributes only its arguments, and a select with a default guards its
+// clauses. Nested function literals are separate nodes.
 func directBlock(n *CGNode) (desc string, pos token.Pos, found bool) {
-	p := n.Pkg
-	// Communication statements of selects that have a default clause are
-	// guarded: collect them so the walk below skips their channel ops.
-	guarded := map[ast.Stmt]bool{}
-	walkOwn(n, func(node ast.Node) {
-		sel, ok := node.(*ast.SelectStmt)
-		if !ok {
-			return
+	blocks := func(_ *lockState, at token.Pos, op string) {
+		if !found {
+			desc, pos, found = op, at, true
 		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			return
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-				guarded[cc.Comm] = true
-			}
-		}
-	})
-
-	var visit func(node ast.Node) bool
-	visit = func(node ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := node.(type) {
-		case *ast.FuncLit:
-			return x == n.Lit // interiors of nested literals are their own nodes
-		case *ast.GoStmt:
-			// The spawned call cannot block this goroutine; its arguments
-			// are evaluated here and can.
-			for _, arg := range x.Call.Args {
-				ast.Inspect(arg, visit)
-			}
-			return false
-		case ast.Stmt:
-			if guarded[x] {
-				return false
-			}
-			switch st := x.(type) {
-			case *ast.SendStmt:
-				desc, pos, found = "channel send", st.Arrow, true
-				return false
-			case *ast.SelectStmt:
-				hasDefault := false
-				for _, c := range st.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-						hasDefault = true
-					}
-				}
-				if !hasDefault {
-					desc, pos, found = "select with no default", st.Select, true
-					return false
-				}
-				return true
-			case *ast.RangeStmt:
-				if t := p.Info.Types[st.X].Type; t != nil {
-					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						desc, pos, found = "range over channel", st.For, true
-						return false
-					}
-				}
-				return true
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				desc, pos, found = "channel receive", x.OpPos, true
-				return false
-			}
-		}
-		return true
 	}
-	ast.Inspect(n.Body, visit)
+	walkFlow[*lockState](n.Pkg, newLockRules(n.Pkg, blocks, nil), n.Body, newLockState())
 	return desc, pos, found
 }

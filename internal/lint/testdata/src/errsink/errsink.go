@@ -156,3 +156,52 @@ func closureChecked() func() error {
 	err := open()
 	return func() error { return err }
 }
+
+// --- loop and exit shapes the one flow walker decides ---
+
+// retryDropped: every iteration overwrites err and nothing reads it after
+// the loop; the next iteration's assignment is not a read.
+func retryDropped(f file, xs []int) error {
+	err := f.Sync()
+	if err != nil {
+		return err
+	}
+	for range xs {
+		err = f.Sync() // want "error assigned to err is never checked"
+	}
+	return nil
+}
+
+// earlyExitUnchecked: the assignment on the returning branch reaches that
+// return unread; the read after the branch is on the other path.
+func earlyExitUnchecked(flag bool) error {
+	var err error
+	if flag {
+		err = open() // want "error assigned to err is never checked"
+		return nil
+	}
+	return err
+}
+
+// bareReturnLocal: a bare return hands over the named results only, not
+// a local error.
+func bareReturnLocal() (n int) {
+	err := open()
+	if err != nil {
+		n = -1
+	}
+	err = open() // want "error assigned to err is never checked"
+	return
+}
+
+// breakChecked: the value carried out by break is read after the loop.
+func breakChecked(xs []int) error {
+	var err error
+	for range xs {
+		if err = open(); err == nil {
+			continue
+		}
+		break
+	}
+	return err
+}

@@ -158,3 +158,82 @@ func (e *engine) goodSwitchAllRelease(k int) {
 	}
 	e.out <- 1
 }
+
+// Loops run to a fixpoint: the unlock sits on one branch only, so the
+// next iteration's send may start with the lock still held.
+func (e *engine) badLockCarriedIntoNextIteration(xs []int) {
+	for _, x := range xs {
+		e.out <- x // want "channel send while e\.mu is held"
+		e.mu.Lock()
+		if x > 0 {
+			e.mu.Unlock()
+		}
+	}
+}
+
+// break carries its state to the loop exit: the lock taken before the
+// break is still held at the send after the loop.
+func (e *engine) badBreakHoldsPastLoop(xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		if x < 0 {
+			break
+		}
+		e.mu.Unlock()
+	}
+	e.out <- 1 // want "channel send while e\.mu is held"
+}
+
+// A labelled continue from the inner loop resumes the outer loop with the
+// lock it took before the inner one.
+func (e *engine) badLabelledContinueHeld(rows [][]int) {
+outer:
+	for _, row := range rows {
+		e.out <- len(row) // want "channel send while e\.mu is held"
+		e.mu.Lock()
+		for _, x := range row {
+			if x < 0 {
+				continue outer
+			}
+		}
+		e.mu.Unlock()
+	}
+}
+
+// The clean control: every iteration unlocks before its send and relocks
+// after it, and the lock is released after the loop.
+func (e *engine) goodRelockEachIteration(xs []int) {
+	e.mu.Lock()
+	for _, x := range xs {
+		e.mu.Unlock()
+		e.out <- x
+		e.mu.Lock()
+	}
+	e.mu.Unlock()
+}
+
+// break out of a switch leaves the switch, not the loop: the unlock after
+// the switch still runs before the send.
+func (e *engine) goodSwitchBreak(xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		switch x {
+		case 0:
+			break
+		}
+		e.mu.Unlock()
+		e.out <- x
+	}
+}
+
+// A range over a channel receives at the top of every iteration: the
+// continue path carries the lock into the next receive.
+func (e *engine) badRangeReceiveCarried(in chan int) {
+	for v := range in { // want "range over channel while e\.mu is held"
+		e.mu.Lock()
+		if v > 0 {
+			continue
+		}
+		e.mu.Unlock()
+	}
+}

@@ -132,3 +132,113 @@ func poolClean() {
 	b := bufPool.Get()
 	bufPool.Put(b)
 }
+
+// leakOnBreak takes a value for the first negative key and breaks out of
+// the loop without releasing it: break carries the acquisition to the
+// loop's exit, and from there to the return.
+func (o *op) leakOnBreak(keys []int) int {
+	for _, k := range keys {
+		if k < 0 {
+			v := o.getVal()
+			v.n = k
+			break
+		}
+	}
+	return 0 // want "pooled value from getVal \(acquired at line \d+\) leaks on this exit path"
+}
+
+// releaseBeforeBreak is the clean control: the value goes back to the
+// pool before the break.
+func (o *op) releaseBeforeBreak(keys []int) int {
+	for _, k := range keys {
+		if k < 0 {
+			v := o.getVal()
+			v.n = k
+			o.putVal(v)
+			break
+		}
+	}
+	return 0
+}
+
+// rebindLeak replaces v on every clause of a switch with a default, so no
+// path reaches the release still holding the first value: it leaks.
+func (o *op) rebindLeak(k int) {
+	v := o.getVal()
+	switch k {
+	case 0:
+		v = o.getVal()
+	default:
+		v = &val{}
+	}
+	o.putVal(v)
+	return // want "pooled value from getVal \(acquired at line \d+\) leaks on this exit path"
+}
+
+// selectRebindLeak receives into v on every clause; a select always takes
+// a clause, so the first value is dropped on every path.
+func (o *op) selectRebindLeak(a, b chan *val) {
+	v := o.getVal()
+	select {
+	case v = <-a:
+	case v = <-b:
+	}
+	o.putVal(v)
+	return // want "pooled value from getVal \(acquired at line \d+\) leaks on this exit path"
+}
+
+// useAfterContinue releases and continues; continue carries the released
+// value to the next iteration's read.
+func (o *op) useAfterContinue(keys []int) int {
+	v := o.getVal()
+	total := 0
+	for _, k := range keys {
+		if k < 0 {
+			o.putVal(v)
+			continue
+		}
+		total += v.n // want "pooled v used after release"
+	}
+	return total
+}
+
+// releaseOnBreak: a for with no condition leaves only through break, and
+// the break path has released v; clean.
+func (o *op) releaseOnBreak() {
+	v := o.getVal()
+	for {
+		if v.n == 0 {
+			o.putVal(v)
+			break
+		}
+		v.n--
+	}
+}
+
+// releaseThenPanic: panic ends the path, so its release does not reach the
+// read after the branch; clean.
+func (o *op) releaseThenPanic(k int) int {
+	v := o.getVal()
+	if k < 0 {
+		o.putVal(v)
+		panic("negative key")
+	}
+	n := v.n
+	o.putVal(v)
+	return n
+}
+
+// useAfterFallthrough: fallthrough carries the released value into the
+// next clause.
+func (o *op) useAfterFallthrough(k int) int {
+	v := o.getVal()
+	switch k {
+	case 0:
+		o.putVal(v)
+		fallthrough
+	case 1:
+		return v.n // want "pooled v used after release"
+	}
+	o.putVal(v)
+	return 0
+}
